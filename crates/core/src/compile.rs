@@ -50,6 +50,7 @@
 use crate::block::{CombInputs, LinkDriver, SystemSpec};
 use crate::counters::DeltaStats;
 use crate::error::SimError;
+use crate::instrument::KernelInstr;
 use crate::profiler::KernelProfiler;
 use crate::side::{SideMem, SideView};
 use noc_types::bits::words_for_bits;
@@ -93,8 +94,21 @@ pub trait CompiledExec: Send {
 
     /// Commit the clock edge for `instance`: consume the settled
     /// `inputs` (all ports fresh) and advance the decoded register state
-    /// in place. Runs exactly once per system cycle.
+    /// in place. Runs at most once per system cycle.
     fn update(&mut self, instance: usize, inputs: &[u64], cycle: u64, side: &mut SideView<'_>);
+
+    /// Did the last [`update`](Self::update) of `instance` leave it
+    /// *quiet*? True promises that the update left the decoded state
+    /// unchanged and wrote no side memory, and that at this state, on
+    /// the same input words, every comb pass and the update would again
+    /// produce the same outputs, the same state and no side effects
+    /// without reading the cycle number. The straight-line engine then
+    /// skips the instance's ops until an input word changes (DESIGN
+    /// §11.5). The default never gates.
+    fn quiet(&self, instance: usize) -> bool {
+        let _ = instance;
+        false
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -349,6 +363,14 @@ pub struct CompiledProgram {
     pub n_links: usize,
     /// Sliced links, ascending by link id (empty without a slice plan).
     pub slices: Vec<SliceEntry>,
+    /// Reader table (straight-line mode), CSR over arena link words:
+    /// the blocks gathering word `w` are
+    /// `reader_blocks[reader_start[w]..reader_start[w + 1]]`. Derived
+    /// from the gathers by `compile` and `parse`; the engine wakes
+    /// these blocks when the word changes.
+    pub reader_start: Vec<u32>,
+    /// Reader table entries (see [`reader_start`](Self::reader_start)).
+    pub reader_blocks: Vec<u32>,
 }
 
 impl CompiledProgram {
@@ -450,6 +472,8 @@ impl CompiledProgram {
             n_blocks: nb,
             n_links: links.len(),
             slices: Vec::new(),
+            reader_start: Vec::new(),
+            reader_blocks: Vec::new(),
         };
         for (l, &base) in sub_base.iter().enumerate() {
             if base != usize::MAX {
@@ -631,7 +655,51 @@ impl CompiledProgram {
             }
         }
         prog.mode = ProgramMode::StraightLine { levels: n_levels };
+        prog.index_readers();
         prog
+    }
+
+    /// Rebuild the reader table ([`reader_start`](Self::reader_start))
+    /// from the gathers: one CSR row per arena link word listing the
+    /// distinct blocks that gather it. Straight-line programs only;
+    /// fixed-point programs are never gated and keep the table empty.
+    fn index_readers(&mut self) {
+        self.reader_start.clear();
+        self.reader_blocks.clear();
+        if !matches!(self.mode, ProgramMode::StraightLine { .. }) {
+            return;
+        }
+        let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(self.gathers.len());
+        for op in &self.ops {
+            let (Op::Comb { gather, .. }
+            | Op::CombPacked { gather, .. }
+            | Op::Update { gather, .. }
+            | Op::UpdatePacked { gather, .. }
+            | Op::EvalFull { gather, .. }) = *op;
+            let b = op.block() as u32;
+            pairs.extend(self.gathers[gather.as_range()].iter().map(|m| (m.link, b)));
+        }
+        pairs.sort_unstable();
+        pairs.dedup();
+        let words = pairs
+            .last()
+            .map_or(0, |&(w, _)| w as usize + 1)
+            .max(self.n_links + self.n_sub());
+        self.reader_start = vec![0; words + 1];
+        for &(w, _) in &pairs {
+            self.reader_start[w as usize + 1] += 1;
+        }
+        for w in 0..words {
+            self.reader_start[w + 1] += self.reader_start[w];
+        }
+        self.reader_blocks = pairs.into_iter().map(|(_, b)| b).collect();
+    }
+
+    /// The blocks that gather arena word `w` (straight-line mode).
+    #[inline]
+    pub fn readers(&self, w: usize) -> &[u32] {
+        let (s, e) = (self.reader_start[w], self.reader_start[w + 1]);
+        &self.reader_blocks[s as usize..e as usize]
     }
 
     /// Total per-bit sub-words the slice table adds to the arena.
@@ -789,6 +857,8 @@ impl CompiledProgram {
             n_blocks: 0,
             n_links: 0,
             slices: Vec::new(),
+            reader_start: Vec::new(),
+            reader_blocks: Vec::new(),
         };
         fn field(line: &str, key: &str) -> Result<String, String> {
             let pat = format!("{key}=");
@@ -960,6 +1030,7 @@ impl CompiledProgram {
                 return Err(format!("unknown line `{line}`"));
             }
         }
+        prog.index_readers();
         Ok(prog)
     }
 }
@@ -1171,6 +1242,53 @@ impl CompiledSnapshot {
     }
 }
 
+/// Per-block activity flags of the gated straight-line interpreter
+/// (DESIGN §11.5): a block runs its ops only while its flag is set.
+#[derive(Debug, Clone)]
+struct Activity {
+    on: Vec<bool>,
+    /// Number of set flags (an all-quiet cycle is `count == 0`).
+    count: usize,
+}
+
+impl Activity {
+    fn all(n: usize) -> Activity {
+        Activity {
+            on: vec![true; n],
+            count: n,
+        }
+    }
+
+    #[inline]
+    fn wake(&mut self, b: usize) {
+        if !self.on[b] {
+            self.on[b] = true;
+            self.count += 1;
+        }
+    }
+
+    #[inline]
+    fn sleep(&mut self, b: usize) {
+        if self.on[b] {
+            self.on[b] = false;
+            self.count -= 1;
+        }
+    }
+
+    fn wake_all(&mut self) {
+        self.on.fill(true);
+        self.count = self.on.len();
+    }
+
+    /// Wake every block that gathers arena word `w`.
+    #[inline]
+    fn wake_readers(&mut self, prog: &CompiledProgram, w: usize) {
+        for &b in prog.readers(w) {
+            self.wake(b as usize);
+        }
+    }
+}
+
 /// The compiled-schedule engine: executes a [`CompiledProgram`] over an
 /// [`Arena`] with a computed-dispatch interpreter loop.
 pub struct CompiledEngine {
@@ -1182,6 +1300,12 @@ pub struct CompiledEngine {
     side: SideMem,
     /// Per block: decoded exec state is newer than the arena words.
     dirty: Vec<bool>,
+    /// Which blocks run this cycle. Only the straight-line interpreter
+    /// clears flags; fixed-point programs keep every block active.
+    act: Activity,
+    /// Per block: state version, bumped by every non-quiet update and
+    /// by restore.
+    versions: Vec<u64>,
     in_buf: Vec<u64>,
     out_buf: Vec<u64>,
     /// Next-state scratch for packed comb passes (discarded).
@@ -1190,6 +1314,7 @@ pub struct CompiledEngine {
     stats: DeltaStats,
     broken: Option<SimError>,
     profiler: Option<Box<KernelProfiler>>,
+    instr: KernelInstr,
 }
 
 impl CompiledEngine {
@@ -1240,8 +1365,11 @@ impl CompiledEngine {
             .map(|b| words_for_bits(spec.kinds()[b.kind].state_bits()))
             .max()
             .unwrap_or(0);
+        let nb = spec.blocks().len();
         let mut eng = CompiledEngine {
-            dirty: vec![false; spec.blocks().len()],
+            dirty: vec![false; nb],
+            act: Activity::all(nb),
+            versions: vec![0; nb],
             in_buf: vec![0; max_ports],
             out_buf: vec![0; max_ports],
             scratch: vec![0; max_words],
@@ -1252,6 +1380,7 @@ impl CompiledEngine {
             stats: DeltaStats::default(),
             broken: None,
             profiler: None,
+            instr: KernelInstr::disabled(),
             prog,
             spec,
         };
@@ -1260,14 +1389,17 @@ impl CompiledEngine {
     }
 
     /// (Re)load every custom exec's decoded state from the arena's
-    /// current bank.
+    /// current bank. Every block wakes and gets a new state version:
+    /// the execs' comb caches and quiet reports describe the old state.
     fn load_execs(&mut self) {
         for (b, inst) in self.spec.blocks().iter().enumerate() {
             if let Some(exec) = self.execs[inst.kind].as_mut() {
                 exec.load(inst.instance_of_kind, self.arena.cur(b));
             }
             self.dirty[b] = false;
+            self.versions[b] += 1;
         }
+        self.act.wake_all();
     }
 
     /// The compiled program being executed.
@@ -1305,7 +1437,8 @@ impl CompiledEngine {
         }
     }
 
-    /// Drive an [`External`](LinkDriver::External) link.
+    /// Drive an [`External`](LinkDriver::External) link. A changed
+    /// value wakes the blocks that read it.
     ///
     /// # Panics
     /// If the link is not external.
@@ -1314,7 +1447,31 @@ impl CompiledEngine {
             matches!(self.spec.links()[l].driver, LinkDriver::External),
             "link {l} is not external"
         );
-        self.arena.set_link(l, v);
+        if self.arena.link(l) != v {
+            self.arena.set_link(l, v);
+            if !self.prog.reader_start.is_empty() {
+                self.act.wake_readers(&self.prog, l);
+            }
+        }
+    }
+
+    /// State version of block `b`: unchanged between two reads means
+    /// the block's registers are unchanged too (bumped by every update
+    /// that is not quiet and by [`restore`](Self::restore)). Hosts use
+    /// it to cache decoded peeks.
+    pub fn state_version(&self, b: usize) -> u64 {
+        self.versions[b]
+    }
+
+    /// Will block `b` run its ops next cycle? Always true in
+    /// fixed-point mode, which is never gated.
+    pub fn is_active(&self, b: usize) -> bool {
+        self.act.on[b]
+    }
+
+    /// Number of blocks that will run their ops next cycle.
+    pub fn active_blocks(&self) -> usize {
+        self.act.count
     }
 
     /// Packed current-state words of block `b` (packs decoded exec
@@ -1347,9 +1504,22 @@ impl CompiledEngine {
         &self.side
     }
 
-    /// Mutable side-ring memory.
+    /// Mutable side-ring memory. The target block is unknown, so every
+    /// block wakes; [`side_write`](Self::side_write) wakes only one.
     pub fn side_mut(&mut self) -> &mut SideMem {
+        self.act.wake_all();
         &mut self.side
+    }
+
+    /// Host write of one side-ring slot of block `b` (wakes `b`).
+    pub fn side_write(&mut self, b: usize, ring: usize, slot: usize, v: u64) {
+        self.act.wake(b);
+        self.side.write(b, ring, slot, v);
+    }
+
+    /// Attach metrics/tracing instrumentation (see [`KernelInstr`]).
+    pub fn set_instrumentation(&mut self, instr: KernelInstr) {
+        self.instr = instr;
     }
 
     /// Attach a profiler (op self time and eval counts are attributed
@@ -1413,13 +1583,20 @@ impl CompiledEngine {
         if let Some(e) = &self.broken {
             return Err(e.clone());
         }
+        if self.all_quiet() {
+            self.skip_quiet(1);
+            return Ok(());
+        }
         if let Some(p) = self.profiler.as_mut() {
             p.begin_cycle();
         }
-        let deltas = match self.prog.mode {
+        let (deltas, skipped) = match self.prog.mode {
             ProgramMode::StraightLine { .. } => {
-                self.run_straight();
-                (self.prog.ops.len() - self.prog.update_start) as u64
+                let skipped = self.run_straight();
+                (
+                    (self.prog.ops.len() - self.prog.update_start) as u64,
+                    skipped,
+                )
             }
             ProgramMode::FixedPoint { max_passes } => {
                 let passes = match self.run_fixed_point(max_passes) {
@@ -1429,11 +1606,13 @@ impl CompiledEngine {
                         return Err(e);
                     }
                 };
-                passes as u64 * self.prog.ops.len() as u64
+                (passes as u64 * self.prog.ops.len() as u64, 0)
             }
         };
         self.arena.swap();
-        self.stats.record_cycle(deltas, self.prog.n_blocks as u64);
+        let nb = self.prog.n_blocks as u64;
+        self.stats.record_cycle(deltas, nb);
+        self.instr.record_cycles(self.cycle, 1, deltas, nb, skipped);
         if let Some(p) = self.profiler.as_mut() {
             p.end_cycle();
         }
@@ -1446,33 +1625,79 @@ impl CompiledEngine {
     /// # Panics
     /// On a sticky error (use [`try_run`](Self::try_run)).
     pub fn run(&mut self, n: u64) {
-        for _ in 0..n {
-            self.step();
+        if let Err(e) = self.try_run(n) {
+            panic!("{e}");
         }
     }
 
-    /// Run `n` system cycles, stopping at the first error.
+    /// Run `n` system cycles, stopping at the first error. Once every
+    /// block is quiet nothing inside the run can wake one, so the rest
+    /// of the run is fast-forwarded in one step.
     pub fn try_run(&mut self, n: u64) -> Result<(), SimError> {
-        for _ in 0..n {
+        for done in 0..n {
+            if self.all_quiet() {
+                self.skip_quiet(n - done);
+                return Ok(());
+            }
             self.try_step()?;
         }
         Ok(())
     }
 
+    /// No block is active: the next cycle runs no op at all. Only the
+    /// straight-line interpreter clears flags, so this never holds for
+    /// a (non-empty) fixed-point program.
+    fn all_quiet(&self) -> bool {
+        self.act.count == 0
+    }
+
+    /// Advance `k` all-quiet cycles at once. No op runs, so only the
+    /// bank parity, the cycle counter and the accounting move, and they
+    /// end exactly where `k` single steps would leave them.
+    fn skip_quiet(&mut self, k: u64) {
+        let deltas = (self.prog.ops.len() - self.prog.update_start) as u64;
+        let nb = self.prog.n_blocks as u64;
+        if k % 2 == 1 {
+            self.arena.swap();
+        }
+        self.stats.record_cycles(k, deltas, nb);
+        self.instr
+            .record_cycles(self.cycle, k, deltas, nb, k * deltas);
+        if let Some(p) = self.profiler.as_mut() {
+            p.skip_cycles(k);
+        }
+        self.cycle += k;
+    }
+
     /// The straight-line interpreter: one pass over the comb section
-    /// (level order), one pass over the updates. No change detection.
-    fn run_straight(&mut self) {
+    /// (level order), one pass over the updates, each op gated by its
+    /// block's activity flag (DESIGN §11.5). A scatter that changes a
+    /// word wakes the word's readers; ops are in level order, so every
+    /// reader's comb passes and update come later in this same pass.
+    /// Returns the number of update ops skipped.
+    fn run_straight(&mut self) -> u64 {
         let cycle = self.cycle;
+        let mut skipped = 0u64;
         for idx in 0..self.prog.ops.len() {
             let op = self.prog.ops[idx];
+            let b = op.block();
+            if !self.act.on[b] {
+                if idx >= self.prog.update_start {
+                    skipped += 1;
+                    if let Some(p) = self.profiler.as_mut() {
+                        p.skip(b);
+                    }
+                }
+                continue;
+            }
             match op {
                 Op::Comb {
                     kind,
                     pass,
-                    block,
                     instance,
                     gather,
                     scatter,
+                    ..
                 } => {
                     let t0 = self.profiler.as_ref().and_then(|p| p.begin_eval());
                     for m in &self.prog.gathers[gather.as_range()] {
@@ -1492,19 +1717,22 @@ impl CompiledEngine {
                         &self.in_buf,
                         cycle,
                         &mut self.out_buf,
-                        &mut self.side.view(block as usize),
+                        &mut self.side.view(b),
                     );
                     for m in &self.prog.scatters[scatter.as_range()] {
-                        self.arena.words[m.link as usize] =
-                            (self.out_buf[m.port as usize] >> m.shift) & m.mask;
+                        let v = (self.out_buf[m.port as usize] >> m.shift) & m.mask;
+                        let w = m.link as usize;
+                        if self.arena.words[w] != v {
+                            self.arena.words[w] = v;
+                            self.act.wake_readers(&self.prog, w);
+                        }
                     }
                     if let Some(p) = self.profiler.as_mut() {
-                        p.end_op(block as usize, t0);
+                        p.end_op(b, t0);
                     }
                 }
                 Op::CombPacked {
                     kind,
-                    block,
                     instance,
                     gather,
                     scatter,
@@ -1519,7 +1747,6 @@ impl CompiledEngine {
                             self.in_buf[m.port as usize] = v;
                         }
                     }
-                    let b = block as usize;
                     let n_in = self.spec.blocks()[b].inputs.len();
                     let n_out = self.spec.blocks()[b].outputs.len();
                     let sw = self.arena.state_len[b];
@@ -1533,8 +1760,12 @@ impl CompiledEngine {
                         &mut self.side.view(b),
                     );
                     for m in &self.prog.scatters[scatter.as_range()] {
-                        self.arena.words[m.link as usize] =
-                            (self.out_buf[m.port as usize] >> m.shift) & m.mask;
+                        let v = (self.out_buf[m.port as usize] >> m.shift) & m.mask;
+                        let w = m.link as usize;
+                        if self.arena.words[w] != v {
+                            self.arena.words[w] = v;
+                            self.act.wake_readers(&self.prog, w);
+                        }
                     }
                     if let Some(p) = self.profiler.as_mut() {
                         p.end_op(b, t0);
@@ -1542,9 +1773,9 @@ impl CompiledEngine {
                 }
                 Op::Update {
                     kind,
-                    block,
                     instance,
                     gather,
+                    ..
                 } => {
                     let t0 = self.profiler.as_ref().and_then(|p| p.begin_eval());
                     for m in &self.prog.gathers[gather.as_range()] {
@@ -1562,18 +1793,23 @@ impl CompiledEngine {
                         instance as usize,
                         &self.in_buf,
                         cycle,
-                        &mut self.side.view(block as usize),
+                        &mut self.side.view(b),
                     );
-                    self.dirty[block as usize] = true;
+                    if exec.quiet(instance as usize) {
+                        self.act.sleep(b);
+                    } else {
+                        self.versions[b] += 1;
+                    }
+                    self.dirty[b] = true;
                     if let Some(p) = self.profiler.as_mut() {
-                        p.end_eval(block as usize, false, t0);
+                        p.end_eval(b, false, t0);
                     }
                 }
                 Op::UpdatePacked {
                     kind,
-                    block,
                     instance,
                     gather,
+                    ..
                 } => {
                     let t0 = self.profiler.as_ref().and_then(|p| p.begin_eval());
                     for m in &self.prog.gathers[gather.as_range()] {
@@ -1584,7 +1820,6 @@ impl CompiledEngine {
                             self.in_buf[m.port as usize] = v;
                         }
                     }
-                    let b = block as usize;
                     let n_in = self.spec.blocks()[b].inputs.len();
                     let n_out = self.spec.blocks()[b].outputs.len();
                     // Split borrows: out_buf/in_buf/side are separate
@@ -1607,6 +1842,7 @@ impl CompiledEngine {
                         &mut out_buf[..n_out],
                         &mut side.view(b),
                     );
+                    self.versions[b] += 1;
                     if let Some(p) = self.profiler.as_mut() {
                         p.end_eval(b, false, t0);
                     }
@@ -1616,6 +1852,7 @@ impl CompiledEngine {
                 }
             }
         }
+        skipped
     }
 
     /// The fixed-point interpreter (cyclic comb graphs): full packed
@@ -1666,6 +1903,7 @@ impl CompiledEngine {
                     &mut out_buf[..n_out],
                     &mut side.view(b),
                 );
+                self.versions[b] += 1;
                 let mut changed = false;
                 for m in &self.prog.scatters[scatter.as_range()] {
                     let v = (self.out_buf[m.port as usize] >> m.shift) & m.mask;

@@ -30,9 +30,19 @@ impl DeltaStats {
     /// Record one completed system cycle that took `deltas` evaluations of
     /// a system with `num_blocks` blocks.
     pub fn record_cycle(&mut self, deltas: u64, num_blocks: u64) {
-        self.system_cycles += 1;
-        self.delta_cycles += deltas;
-        self.re_evaluations += deltas.saturating_sub(num_blocks);
+        self.record_cycles(1, deltas, num_blocks);
+    }
+
+    /// Record `k` completed system cycles that each took `deltas`
+    /// evaluations: the same totals as `k` calls of
+    /// [`record_cycle`](Self::record_cycle).
+    pub fn record_cycles(&mut self, k: u64, deltas: u64, num_blocks: u64) {
+        if k == 0 {
+            return;
+        }
+        self.system_cycles += k;
+        self.delta_cycles += k * deltas;
+        self.re_evaluations += k * deltas.saturating_sub(num_blocks);
         self.deltas_last_cycle = deltas;
         self.max_deltas_in_cycle = self.max_deltas_in_cycle.max(deltas);
     }
@@ -100,6 +110,20 @@ mod tests {
         assert_eq!(s.max_deltas_in_cycle, 40);
         assert!((s.avg_deltas_per_cycle() - 38.0).abs() < 1e-12);
         assert!((s.extra_fraction(36) - 6.0 / 108.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn bulk_recording_matches_single_cycles() {
+        let mut one = DeltaStats::default();
+        let mut bulk = DeltaStats::default();
+        one.record_cycle(40, 36);
+        bulk.record_cycle(40, 36);
+        for _ in 0..5 {
+            one.record_cycle(36, 36);
+        }
+        bulk.record_cycles(5, 36, 36);
+        bulk.record_cycles(0, 99, 36);
+        assert_eq!(one, bulk);
     }
 
     #[test]

@@ -29,6 +29,10 @@ pub struct KernelInstr {
     /// scheduler — a block evaluated again after its first evaluation
     /// of the system cycle (`kernel.hbr_retries`).
     pub hbr_retries: Counter,
+    /// Evaluations the activity-gated compiled kernel skipped
+    /// (`kernel.skipped`): counted in `kernel.evals`, whose meaning is
+    /// one logical evaluation per block per cycle, but not executed.
+    pub skipped: Counter,
     /// Distribution of delta cycles per system cycle
     /// (`kernel.deltas_per_cycle`) — the percentile view of the paper's
     /// "1.5–2× input load" re-evaluation overhead.
@@ -44,6 +48,7 @@ impl KernelInstr {
             evals: Counter::detached(),
             re_evals: Counter::detached(),
             hbr_retries: Counter::detached(),
+            skipped: Counter::detached(),
             deltas_hist: Hist::detached(),
         }
     }
@@ -59,6 +64,7 @@ impl KernelInstr {
             evals: registry.counter("kernel.evals", &labels),
             re_evals: registry.counter("kernel.re_evals", &labels),
             hbr_retries: registry.counter("kernel.hbr_retries", &labels),
+            skipped: registry.counter("kernel.skipped", &labels),
             deltas_hist: registry.hist("kernel.deltas_per_cycle", &labels),
         }
     }
@@ -68,25 +74,38 @@ impl KernelInstr {
     /// kernel event and counter track when tracing is on.
     #[inline]
     pub fn record_cycle(&self, cycle: u64, deltas: u64, blocks: u64) {
-        self.cycles.inc();
-        self.evals.add(deltas);
+        self.record_cycles(cycle, 1, deltas, blocks, 0);
+    }
+
+    /// Record `k` consecutive system cycles from `cycle` on, each taking
+    /// `deltas` evaluations, with `skipped` of all those evaluations
+    /// gated off. Counters move as `k` calls of
+    /// [`record_cycle`](Self::record_cycle) would; with tracing on,
+    /// each cycle still gets its own event.
+    #[inline]
+    pub fn record_cycles(&self, cycle: u64, k: u64, deltas: u64, blocks: u64, skipped: u64) {
+        self.cycles.add(k);
+        self.evals.add(k * deltas);
         let re = deltas.saturating_sub(blocks);
-        self.re_evals.add(re);
-        self.deltas_hist.record(deltas);
+        self.re_evals.add(k * re);
+        self.skipped.add(skipped);
+        self.deltas_hist.record_n(deltas, k);
         if self.tracer.enabled() {
-            self.tracer.instant(
-                "kernel.cycle",
-                "kernel",
-                &[
-                    ("cycle", cycle.into()),
-                    ("deltas", deltas.into()),
-                    ("re_evals", re.into()),
-                ],
-            );
-            self.tracer.counter(
-                "kernel.deltas",
-                &[("deltas", deltas as f64), ("re_evals", re as f64)],
-            );
+            for c in cycle..cycle + k {
+                self.tracer.instant(
+                    "kernel.cycle",
+                    "kernel",
+                    &[
+                        ("cycle", c.into()),
+                        ("deltas", deltas.into()),
+                        ("re_evals", re.into()),
+                    ],
+                );
+                self.tracer.counter(
+                    "kernel.deltas",
+                    &[("deltas", deltas as f64), ("re_evals", re as f64)],
+                );
+            }
         }
     }
 
@@ -158,6 +177,26 @@ mod tests {
             r.counter_value("kernel.hbr_retries", &[("engine", lbl("dynamic"))]),
             Some(1)
         );
+    }
+
+    #[test]
+    fn bulk_cycles_count_like_single_cycles_and_track_skips() {
+        let (r1, r2) = (Registry::new(), Registry::new());
+        let (t1, t2) = (Tracer::new(), Tracer::new());
+        let one = KernelInstr::with_registry(&r1, t1.clone(), "compiled");
+        let bulk = KernelInstr::with_registry(&r2, t2.clone(), "compiled");
+        for c in 3..8 {
+            one.record_cycle(c, 36, 36);
+        }
+        bulk.record_cycles(3, 5, 36, 36, 5 * 36);
+        let eng = [("engine", lbl("compiled"))];
+        for name in ["kernel.cycles", "kernel.evals", "kernel.re_evals"] {
+            assert_eq!(r1.counter_value(name, &eng), r2.counter_value(name, &eng));
+        }
+        assert_eq!(r2.counter_value("kernel.skipped", &eng), Some(180));
+        assert_eq!(r1.counter_value("kernel.skipped", &eng), Some(0));
+        assert_eq!(bulk.deltas_hist.snapshot(), one.deltas_hist.snapshot());
+        assert_eq!(t1.event_names(), t2.event_names());
     }
 
     #[test]

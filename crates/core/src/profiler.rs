@@ -37,6 +37,9 @@ pub struct KernelProfiler {
     evals: Vec<u64>,
     /// Per-block HBR-forced re-evaluations.
     retries: Vec<u64>,
+    /// Per-block evaluations the activity-gated compiled kernel
+    /// skipped.
+    skipped: Vec<u64>,
     /// Per-block evaluations that were wall-clock timed.
     timed_evals: Vec<u64>,
     /// Per-block nanoseconds across the timed evaluations.
@@ -68,6 +71,7 @@ impl KernelProfiler {
             cycles: 0,
             evals: vec![0; n_blocks],
             retries: vec![0; n_blocks],
+            skipped: vec![0; n_blocks],
             timed_evals: vec![0; n_blocks],
             timed_ns: vec![0; n_blocks],
             cycle_evals: vec![0; n_blocks],
@@ -148,6 +152,24 @@ impl KernelProfiler {
         }
     }
 
+    /// Count one skipped evaluation of `block` (the activity-gated
+    /// compiled kernel found it quiet; no op ran, no time is charged).
+    #[inline]
+    pub fn skip(&mut self, block: usize) {
+        self.skipped[block] += 1;
+    }
+
+    /// Account `k` whole system cycles in which every block was
+    /// skipped: the same counts as `k` cycles of [`skip`](Self::skip)
+    /// calls for every block, bracketed by
+    /// [`begin_cycle`](Self::begin_cycle)/[`end_cycle`](Self::end_cycle).
+    pub fn skip_cycles(&mut self, k: u64) {
+        for s in &mut self.skipped {
+            *s += k;
+        }
+        self.cycles += k;
+    }
+
     /// Close a system cycle: fold this cycle's per-block eval counts
     /// into the per-SCC round maxima and reset them.
     pub fn end_cycle(&mut self) {
@@ -197,6 +219,7 @@ impl KernelProfiler {
                 name: self.names[b].clone(),
                 fixed_point: self.scc_blocks[scc] > 1,
                 evals: self.evals[b],
+                skipped: self.skipped[b],
                 hbr_retries: self.retries[b],
                 self_ns,
             });
@@ -251,6 +274,22 @@ mod tests {
         // Default attribution: singleton SCCs, so no SCC rows.
         assert!(r.sccs.is_empty());
         assert!(!r.entries[0].fixed_point);
+    }
+
+    #[test]
+    fn skips_are_counted_apart_from_evals() {
+        let mut p = KernelProfiler::new(2, 1);
+        p.begin_cycle();
+        let t0 = p.begin_eval();
+        p.end_eval(0, false, t0);
+        p.skip(1);
+        p.end_cycle();
+        p.skip_cycles(3);
+        assert_eq!(p.cycles(), 4);
+        let r = p.report("compiled", 0.0, 0);
+        assert_eq!((r.entries[0].evals, r.entries[0].skipped), (1, 3));
+        assert_eq!((r.entries[1].evals, r.entries[1].skipped), (0, 4));
+        assert_eq!(r.entries[1].self_ns, 0);
     }
 
     #[test]

@@ -10,16 +10,18 @@
 //! room bits) is acyclic, so the whole NoC compiles to straight-line
 //! code — two comb passes plus one update op per router per system
 //! cycle, no HBR checks, no scheduler queue, no per-eval dispatch
-//! hashing. Host access (stimuli rings, pointer peeks) is unchanged:
-//! the side memory and external links behave exactly as in the
-//! interpreting engine, so the two backends are bit-identical and
-//! differ only in speed.
+//! hashing. The kernel skips quiet routers and fast-forwards all-quiet
+//! stretches (DESIGN §11.5). Host access (stimuli rings, pointer peeks)
+//! is unchanged: the side memory and external links behave exactly as
+//! in the interpreting engine, so the two backends are bit-identical
+//! and differ only in speed.
 
 use crate::engine::{ring_pending, HostPtrs, NocEngine};
 use crate::seq::{attributed_profiler, build_noc_spec};
 use noc_types::fault::FaultPlan;
 use noc_types::{NetworkConfig, NUM_VCS};
 use seqsim::{CompileOptions, CompiledEngine, DeltaStats, SimError};
+use std::cell::Cell;
 use std::sync::Arc;
 use vc_router::block::{RING_ACC, RING_OUT, RING_STIM0};
 use vc_router::{AccEntry, IfaceConfig, OutEntry, RouterRegs, StimEntry};
@@ -41,6 +43,10 @@ pub struct CompiledNoc {
     depths: Vec<usize>,
     host: HostPtrs,
     faults: Option<Arc<FaultPlan>>,
+    /// Per node: the registers last decoded by
+    /// [`peek_regs`](Self::peek_regs) and the engine state version they
+    /// were decoded at.
+    peeked: Vec<Cell<Option<(u64, RouterRegs)>>>,
 }
 
 impl CompiledNoc {
@@ -74,17 +80,49 @@ impl CompiledNoc {
         depths: &[usize],
         faults: Option<Arc<FaultPlan>>,
     ) -> Self {
-        let (spec, wr_links, fwd_links) = build_noc_spec(&cfg, iface_cfg, depths, &faults, false);
+        Self::build(cfg, iface_cfg, depths, faults, false)
+    }
+
+    /// [`with_faults`](Self::with_faults) over the packed control plane
+    /// of [`crate::BatchedNoc::with_packed_control`]: every credit link
+    /// runs through a [`vc_router::CreditStage`] and the compiler slices
+    /// the credit links into per-bit arena words. Router registers,
+    /// deliveries and forward links are bit-identical to the plain
+    /// build; the stages add blocks to the delta accounting.
+    pub fn with_packed_control(
+        cfg: NetworkConfig,
+        iface_cfg: IfaceConfig,
+        faults: Option<Arc<FaultPlan>>,
+    ) -> Self {
+        let depths = vec![cfg.router.queue_depth; cfg.num_nodes()];
+        Self::build(cfg, iface_cfg, &depths, faults, true)
+    }
+
+    fn build(
+        cfg: NetworkConfig,
+        iface_cfg: IfaceConfig,
+        depths: &[usize],
+        faults: Option<Arc<FaultPlan>>,
+        packed_control: bool,
+    ) -> Self {
+        let (spec, wr_links, fwd_links) =
+            build_noc_spec(&cfg, iface_cfg, depths, &faults, packed_control);
         // Lower the analyzer's hybrid-schedule order when one exists:
         // the compiled program visits blocks in the same condensation
         // order the interpreting engine would, so profiles and traces
         // line up row for row.
-        let order = speccheck::analyze_spec(&spec).schedule.map(|h| h.order);
+        let analysis = speccheck::analyze_spec(&spec);
         let opts = CompileOptions {
-            order,
+            order: analysis.schedule.map(|h| h.order),
+            slice: if packed_control {
+                analysis.bitflow.slice
+            } else {
+                Default::default()
+            },
             ..CompileOptions::default()
         };
         let engine = CompiledEngine::with_options(spec, &opts);
+        let n = cfg.num_nodes();
         CompiledNoc {
             cfg,
             iface_cfg,
@@ -92,8 +130,9 @@ impl CompiledNoc {
             wr_links,
             fwd_links,
             depths: depths.to_vec(),
-            host: HostPtrs::new(cfg.num_nodes()),
+            host: HostPtrs::new(n),
             faults,
+            peeked: vec![Cell::new(None); n],
         }
     }
 
@@ -120,8 +159,18 @@ impl CompiledNoc {
     }
 
     /// Device-side register file of one router (a host "memory peek").
+    /// Reuses the last decode while the node's state version has not
+    /// moved, so peeking a quiet router costs no pack/unpack.
     pub fn peek_regs(&self, node: usize) -> RouterRegs {
-        RouterRegs::unpack(self.depths[node], &self.engine.peek_state(node))
+        let version = self.engine.state_version(node);
+        if let Some((v, regs)) = self.peeked[node].get() {
+            if v == version {
+                return regs;
+            }
+        }
+        let regs = RouterRegs::unpack(self.depths[node], &self.engine.peek_state(node));
+        self.peeked[node].set(Some((version, regs)));
+        regs
     }
 }
 
@@ -144,6 +193,23 @@ impl NocEngine for CompiledNoc {
 
     fn try_step(&mut self) -> Result<(), SimError> {
         self.engine.try_step()
+    }
+
+    fn run(&mut self, n: u64) {
+        self.engine.run(n);
+    }
+
+    fn try_run(&mut self, n: u64) -> Result<(), SimError> {
+        self.engine.try_run(n)
+    }
+
+    fn attach_instrumentation(&mut self, registry: &simtrace::Registry, tracer: &simtrace::Tracer) {
+        self.engine
+            .set_instrumentation(seqsim::KernelInstr::with_registry(
+                registry,
+                tracer.clone(),
+                "seqsim-compiled",
+            ));
     }
 
     fn fault_plan(&self) -> Option<&Arc<FaultPlan>> {
@@ -201,8 +267,7 @@ impl NocEngine for CompiledNoc {
         }
         let wr = &mut self.host.stim_wr[node][vc];
         self.engine
-            .side_mut()
-            .write(node, RING_STIM0 + vc, *wr as usize, entry.to_bits());
+            .side_write(node, RING_STIM0 + vc, *wr as usize, entry.to_bits());
         *wr = wr.wrapping_add(1);
         self.engine
             .set_external(self.wr_links[node][vc], *wr as u64);

@@ -337,6 +337,7 @@ impl BlockKind for RouterBlock {
             room: Vec::new(),
             sel: Vec::new(),
             fwd: Vec::new(),
+            quiet: Vec::new(),
         }))
     }
 }
@@ -409,7 +410,8 @@ impl BlockKind for CreditStage {
 /// * comb pass 1 — arbitration + forward outputs, `f(state, room in)`
 ///   (the only combinational feed-through the kind declares);
 /// * update — stimuli pick, `clock`, `iface_clock`, registers advanced
-///   in place.
+///   in place, and the quiet report that lets the engine skip the
+///   router until a neighbour or the host wakes it (DESIGN §11.5).
 #[derive(Debug, Clone)]
 struct CompiledRouter {
     cfg: NetworkConfig,
@@ -426,6 +428,8 @@ struct CompiledRouter {
     /// Per-instance forward words cached from comb pass 1 (the Local
     /// word feeds `iface_clock`).
     fwd: Vec<[LinkFwd; NUM_PORTS]>,
+    /// Per-instance quiet report of the last update.
+    quiet: Vec<bool>,
 }
 
 impl CompiledRouter {
@@ -452,6 +456,7 @@ impl CompiledExec for CompiledRouter {
                 },
             );
             self.fwd.resize(n, [LinkFwd::IDLE; NUM_PORTS]);
+            self.quiet.resize(n, false);
         }
         self.regs[instance] = RouterRegs::unpack(self.cfg.router.queue_depth, packed);
     }
@@ -511,11 +516,13 @@ impl CompiledExec for CompiledRouter {
     fn update(&mut self, instance: usize, inputs: &[u64], cycle: u64, side: &mut SideView<'_>) {
         if self.nf[instance].stalled(cycle) {
             // Registers held, no side effects — `eval`'s early return.
+            self.quiet[instance] = false;
             return;
         }
         let ctx = self.ctx(instance);
         let iface_cfg = self.iface_cfg;
         let mut rin = RouterInputs::idle();
+        let mut arrivals = false;
         for d in 0..4 {
             let mut fwd_word = inputs[IN_FWD0 + d];
             if self.nf[instance].link_faulty(d) {
@@ -523,6 +530,7 @@ impl CompiledExec for CompiledRouter {
             }
             rin.fwd_in[d] = LinkFwd::from_bits(fwd_word);
             rin.room_in[d] = room_from_bits(inputs[IN_ROOM0 + d]);
+            arrivals |= rin.fwd_in[d].valid;
         }
         let mut store = SideStore { view: side };
         let pick = iface_pick(
@@ -538,8 +546,20 @@ impl CompiledExec for CompiledRouter {
         let sel = self.sel[instance];
         let fwd_local = self.fwd[instance][Port::Local.index()];
         let regs = &mut self.regs[instance];
-        clock(regs, &ctx, &rin, Some(&sel));
         let wr_inputs: [u16; NUM_VCS] = core::array::from_fn(|v| inputs[IN_WRPTR0 + v] as u16);
+        // Quiet: no flit arrives, no output is granted (so nothing is
+        // dequeued, no arbiter moves and the Local word is idle), no
+        // stimulus is pending (so none is picked, and the pick never
+        // reads the cycle) and the write pointers match their shadows.
+        // `clock` and `iface_clock` then leave `regs` and the rings as
+        // they were. A node with faults never reports quiet: its stall
+        // and link-fault windows read the cycle.
+        self.quiet[instance] = !arrivals
+            && sel.per_out.iter().all(Option::is_none)
+            && regs.iface.stim_wr_shadow == regs.iface.stim_rd
+            && regs.iface.stim_wr_shadow == wr_inputs
+            && self.nf[instance].is_empty();
+        clock(regs, &ctx, &rin, Some(&sel));
         iface_clock(
             &mut regs.iface,
             &iface_cfg,
@@ -549,6 +569,10 @@ impl CompiledExec for CompiledRouter {
             wr_inputs,
             cycle,
         );
+    }
+
+    fn quiet(&self, instance: usize) -> bool {
+        self.quiet[instance]
     }
 }
 

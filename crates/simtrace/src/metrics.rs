@@ -113,11 +113,20 @@ impl Hist {
     /// Record one sample.
     #[inline]
     pub fn record(&self, v: u64) {
+        self.record_n(v, 1);
+    }
+
+    /// Record `n` samples of the same value `v`.
+    #[inline]
+    pub fn record_n(&self, v: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
         let idx = 64 - v.leading_zeros() as usize;
         let c = &self.0;
-        c.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        c.count.fetch_add(1, Ordering::Relaxed);
-        c.sum.fetch_add(v, Ordering::Relaxed);
+        c.buckets[idx].fetch_add(n, Ordering::Relaxed);
+        c.count.fetch_add(n, Ordering::Relaxed);
+        c.sum.fetch_add(v.wrapping_mul(n), Ordering::Relaxed);
         c.min.fetch_min(v, Ordering::Relaxed);
         c.max.fetch_max(v, Ordering::Relaxed);
     }
@@ -661,6 +670,17 @@ mod tests {
         }
         assert_eq!(h.count(), 5);
         assert!((h.mean() - 161.2).abs() < 1e-9);
+    }
+
+    #[test]
+    fn record_n_matches_repeated_records() {
+        let (a, b) = (Hist::detached(), Hist::detached());
+        for _ in 0..7 {
+            a.record(36);
+        }
+        b.record_n(36, 7);
+        b.record_n(5, 0);
+        assert_eq!(a.snapshot(), b.snapshot());
     }
 
     #[test]

@@ -30,6 +30,9 @@ pub struct ProfileEntry {
     pub fixed_point: bool,
     /// Total evaluations of this block.
     pub evals: u64,
+    /// Evaluations the activity-gated compiled kernel skipped because
+    /// the block was quiet (0 for every other engine).
+    pub skipped: u64,
     /// Evaluations that were HBR-forced re-evaluations.
     pub hbr_retries: u64,
     /// Estimated self time in nanoseconds (sampled, then scaled to the
@@ -117,6 +120,11 @@ impl ProfileReport {
         self.entries.iter().map(|e| e.evals).sum()
     }
 
+    /// Total skipped evaluations across all blocks.
+    pub fn skipped_total(&self) -> u64 {
+        self.entries.iter().map(|e| e.skipped).sum()
+    }
+
     /// The `n` hottest blocks by self time (ties broken by eval count,
     /// then block index for determinism).
     pub fn hotspots(&self, n: usize) -> Vec<&ProfileEntry> {
@@ -191,6 +199,8 @@ impl ProfileReport {
             out.push_str(if e.fixed_point { "true" } else { "false" });
             out.push_str(",\"evals\":");
             out.push_str(&e.evals.to_string());
+            out.push_str(",\"skipped\":");
+            out.push_str(&e.skipped.to_string());
             out.push_str(",\"hbr_retries\":");
             out.push_str(&e.hbr_retries.to_string());
             out.push_str(",\"self_ns\":");
@@ -248,6 +258,8 @@ impl ProfileReport {
                     .to_string(),
                 fixed_point: matches!(b.get("fixed_point"), Some(JsonValue::Bool(true))),
                 evals: u(b, "evals")?,
+                // Absent in profiles written before gating existed.
+                skipped: b.get("skipped").and_then(JsonValue::u64).unwrap_or(0),
                 hbr_retries: u(b, "hbr_retries")?,
                 self_ns: u(b, "self_ns")?,
             });
@@ -327,6 +339,7 @@ mod tests {
                     name: "router 0".into(),
                     fixed_point: true,
                     evals: 400,
+                    skipped: 0,
                     hbr_retries: 40,
                     self_ns: 9000,
                 },
@@ -336,6 +349,7 @@ mod tests {
                     name: "ni;1".into(),
                     fixed_point: false,
                     evals: 100,
+                    skipped: 25,
                     hbr_retries: 0,
                     self_ns: 1000,
                 },

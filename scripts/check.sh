@@ -14,31 +14,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test --workspace -q (every crate's unit, integration and doc tests)"
+cargo test --workspace -q
 
 echo "==> speclint (zero error-severity diagnostics on built-in topologies)"
 ./target/release/speclint --all-topologies --format json --out target/speclint_report.json \
     --emit-program target/compiled_program.txt \
     --emit-bitflow target/bitflow_report.json
-
-echo "==> sharded differential suite (bit-identity vs SeqNoc)"
-cargo test -q -p noc --test sharded_differential
-
-echo "==> compiled-kernel differential suite (bytecode engine vs the interpreters)"
-cargo test -q -p noc compiled
-cargo test -q --test compiled_program
-cargo test -q --test snapshot compiled
-
-echo "==> batched differential suite (lane-vs-scalar bit-identity)"
-cargo test -q -p noc --test batched_differential
-
-echo "==> faulty differential suite (bit-identity under fault plans)"
-cargo test -q --test differential_engines engines_agree_under_fault_plans
-cargo test -q -p noc --test sharded_differential sharded_replays_fault_plans
-
-echo "==> resilience suite (checkpoint round-trips, kill-and-resume, quarantine, supervisor)"
-cargo test -q -p noc --test resilience
 
 echo "==> chaos smoke (injected panic + hang + poisoned lane + corrupt checkpoint)"
 cargo run --release --bin chaos -- --dir target/chaos 2> /dev/null
