@@ -28,9 +28,14 @@
 //! has an active flag, per-lane ops skip inactive lanes, and bitwise ops
 //! AND their writes with an active-mask word, so a halted lane's state
 //! stays bit-exact across bank swaps.
+//!
+//! Per-lane ops are also gated by block activity, one
+//! [`Activity`] per lane (DESIGN §12.6): a block that went quiet in
+//! lane `j` is skipped in lane `j` until one of its input words changes
+//! there, and a group whose active lanes are all quiet fast-forwards.
 
 use crate::block::{BitExpr, BlockInst, LinkDriver, SystemSpec};
-use crate::compile::{CompileOptions, CompiledExec, CompiledProgram, Op, ProgramMode};
+use crate::compile::{Activity, CompileOptions, CompiledExec, CompiledProgram, Op, ProgramMode};
 use crate::counters::DeltaStats;
 use crate::error::SimError;
 use crate::profiler::KernelProfiler;
@@ -301,7 +306,13 @@ pub struct BatchedProgram {
     /// packed slab index (None = per-lane representation). Sub-words
     /// always pack: they hold one bit per lane by construction.
     packed_of_link: Vec<Option<u32>>,
+    /// Packed slab -> its arena word (the inverse of `packed_of_link`),
+    /// so a packed write can wake the word's readers.
+    word_of_slab: Vec<u32>,
     n_packed: usize,
+    /// Number of `Bitwise` and `Expr` ops. They are never gated, so a
+    /// program with any of them never fast-forwards.
+    packed_ops: usize,
     /// Per-lane deltas per cycle, identical to the scalar engine's
     /// accounting (`ops.len() - update_start`).
     scalar_deltas: u64,
@@ -552,13 +563,25 @@ impl BatchedProgram {
         }
 
         let scalar_deltas = (prog.ops.len() - prog.update_start) as u64;
+        let mut word_of_slab = vec![0u32; n_packed];
+        for (w, s) in packed_of_link.iter().enumerate() {
+            if let Some(s) = s {
+                word_of_slab[*s as usize] = w as u32;
+            }
+        }
+        let packed_ops = ops
+            .iter()
+            .filter(|o| matches!(o, BatchOp::Bitwise { .. } | BatchOp::Expr { .. }))
+            .count();
         Ok(BatchedProgram {
             scalar: prog,
             ops,
             pgathers,
             pscatters,
             packed_of_link,
+            word_of_slab,
             n_packed,
+            packed_ops,
             scalar_deltas,
         })
     }
@@ -578,10 +601,7 @@ impl BatchedProgram {
     /// width-1 blocks plus packed-expression ops on bitflow-sliced
     /// blocks.
     pub fn bitwise_ops(&self) -> usize {
-        self.ops
-            .iter()
-            .filter(|o| matches!(o, BatchOp::Bitwise { .. } | BatchOp::Expr { .. }))
-            .count()
+        self.packed_ops
     }
 }
 
@@ -738,6 +758,13 @@ struct BatchedCore {
     cur: usize,
     /// `dirty[lane][block]`: decoded exec state is newer than `state`.
     dirty: Vec<Vec<bool>>,
+    /// `act[lane]`: which blocks run their per-lane ops next cycle in
+    /// that lane. Not persisted: restore wakes every block.
+    act: Vec<Activity>,
+    /// `versions[lane][block]`: bumped whenever a host peek of the
+    /// block's state may return something new (non-quiet update, packed
+    /// update, restore, quarantine).
+    versions: Vec<Vec<u64>>,
     in_buf: Vec<u64>,
     out_buf: Vec<u64>,
     scratch: Vec<u64>,
@@ -845,8 +872,11 @@ impl BatchedCore {
             active_words[j / 64] |= 1u64 << (j % 64);
         }
 
+        let nb = base.blocks().len();
         let mut core = BatchedCore {
-            dirty: vec![vec![false; base.blocks().len()]; lanes],
+            dirty: vec![vec![false; nb]; lanes],
+            act: vec![Activity::all(nb); lanes],
+            versions: vec![vec![0; nb]; lanes],
             in_buf: vec![0; max_ports],
             out_buf: vec![0; max_ports],
             scratch: vec![0; max_words],
@@ -897,6 +927,7 @@ impl BatchedCore {
     }
 
     /// (Re)load every lane's exec decoded state from the current bank.
+    /// Every block of every lane wakes and gets a new state version.
     fn load_execs(&mut self) {
         for j in 0..self.lanes {
             for b in 0..self.specs[j].blocks().len() {
@@ -907,7 +938,9 @@ impl BatchedCore {
                     exec.load(inst.instance_of_kind, &self.state[start..start + len]);
                 }
                 self.dirty[j][b] = false;
+                self.versions[j][b] += 1;
             }
+            self.act[j].wake_all();
         }
     }
 
@@ -945,23 +978,40 @@ impl BatchedCore {
         }
     }
 
-    /// Drive an external link in one lane.
+    /// Drive an external link in one lane. A changed value wakes the
+    /// link's readers in that lane.
     fn set_external(&mut self, lane: usize, l: usize, v: u64) {
         assert!(
             matches!(self.specs[lane].links()[l].driver, LinkDriver::External),
             "link {l} is not external"
         );
-        match self.prog.packed_of_link[l] {
+        if self.write_word(l, lane, v) {
+            self.act[lane].wake_readers(&self.prog.scalar, l);
+        }
+    }
+
+    /// Write arena word `w` of lane `j` (lane-bit insertion if packed).
+    /// Returns whether the word changed.
+    #[inline]
+    fn write_word(&mut self, w: usize, j: usize, v: u64) -> bool {
+        match self.prog.packed_of_link[w] {
             Some(s) => {
-                let word = &mut self.packed[s as usize * self.lane_words + lane / 64];
-                let bit = 1u64 << (lane % 64);
+                let slot = &mut self.packed[s as usize * self.lane_words + j / 64];
+                let bit = 1u64 << (j % 64);
+                let old = *slot;
                 if v & 1 == 1 {
-                    *word |= bit;
+                    *slot |= bit;
                 } else {
-                    *word &= !bit;
+                    *slot &= !bit;
                 }
+                *slot != old
             }
-            None => self.links[l * self.lanes + lane] = v,
+            None => {
+                let slot = &mut self.links[w * self.lanes + j];
+                let changed = *slot != v;
+                *slot = v;
+                changed
+            }
         }
     }
 
@@ -991,25 +1041,34 @@ impl BatchedCore {
     /// Run lane `j`'s scatter window of a per-lane op: the scalar
     /// [`ScatterMove`](crate::compile::ScatterMove) semantics (shift +
     /// mask, slicing output words bit by bit) with packed words written
-    /// via lane-bit insertion.
+    /// via lane-bit insertion. A changed word wakes its readers in lane
+    /// `j`.
     #[inline]
-    fn scatter_lane(&mut self, r: std::ops::Range<usize>, j: usize, lanes: usize) {
+    fn scatter_lane(&mut self, r: std::ops::Range<usize>, j: usize) {
         for i in r {
             let m = self.prog.scalar.scatters[i];
             let w = m.link as usize;
             let v = (self.out_buf[m.port as usize] >> m.shift) & m.mask;
-            match self.prog.packed_of_link[w] {
-                Some(s) => {
-                    let slot = &mut self.packed[s as usize * self.lane_words + j / 64];
-                    let bit = 1u64 << (j % 64);
-                    if v & 1 == 1 {
-                        *slot |= bit;
-                    } else {
-                        *slot &= !bit;
-                    }
-                }
-                None => self.links[w * lanes + j] = v,
+            if self.write_word(w, j, v) {
+                self.act[j].wake_readers(&self.prog.scalar, w);
             }
+        }
+    }
+
+    /// Masked write of packed word `w` of `slab`: the bits of `act`
+    /// take `val`, the others keep their value. Every lane whose bit
+    /// changed wakes the slab's readers.
+    #[inline]
+    fn write_packed(&mut self, slab: usize, w: usize, act: u64, val: u64) {
+        let slot = &mut self.packed[slab * self.lane_words + w];
+        let old = *slot;
+        *slot = (old & !act) | (val & act);
+        let mut diff = old ^ *slot;
+        let word = self.prog.word_of_slab[slab] as usize;
+        while diff != 0 {
+            let j = w * 64 + diff.trailing_zeros() as usize;
+            self.act[j].wake_readers(&self.prog.scalar, word);
+            diff &= diff - 1;
         }
     }
 
@@ -1030,17 +1089,24 @@ impl BatchedCore {
                 }
                 self.dirty[lane][b] = false;
             }
+        }
+        self.freeze(lane);
+    }
+
+    /// Mask `lane` out of every future write and mirror its current
+    /// bank into the next one, so its peeks stay put across bank swaps.
+    fn freeze(&mut self, lane: usize) {
+        for b in 0..self.specs[lane].blocks().len() {
             let (cur, next) = cur_next_split(
                 &mut self.state,
                 self.cur,
                 self.bank_lane_words,
-                off,
-                len,
+                self.state_off[b],
+                self.state_len[b],
                 self.lanes,
                 lane,
             );
-            let tmp: Vec<u64> = cur.to_vec();
-            next.copy_from_slice(&tmp);
+            next.copy_from_slice(cur);
         }
         self.active[lane] = false;
         self.active_words[lane / 64] &= !(1u64 << (lane % 64));
@@ -1050,15 +1116,18 @@ impl BatchedCore {
     /// future write and record the payload. Unlike [`halt_lane`]
     /// (`Self::halt_lane`) the decoded exec state is *not* synced back —
     /// a panic may have left it mid-evaluation — so the dirty flags are
-    /// cleared and host peeks read the last consistent bank words.
+    /// cleared and host peeks read the bank words (for exec-backed
+    /// blocks, those of the last build or restore). That switch changes
+    /// what a peek returns, so every block of the lane gets a new state
+    /// version.
     fn quarantine(&mut self, lane: usize, cycle: u64, payload: String) {
         if self.poisoned[lane].is_some() {
             return;
         }
         self.poisoned[lane] = Some((cycle, payload));
-        self.active[lane] = false;
-        self.active_words[lane / 64] &= !(1u64 << (lane % 64));
         self.dirty[lane].iter_mut().for_each(|d| *d = false);
+        self.versions[lane].iter_mut().for_each(|v| *v += 1);
+        self.freeze(lane);
     }
 
     fn snapshot(&self) -> CoreSnapshot {
@@ -1104,16 +1173,79 @@ impl BatchedCore {
         self.load_execs();
     }
 
-    /// Advance every active lane by `n` system cycles.
+    /// Advance every active lane by `n` system cycles, fast-forwarding
+    /// the all-quiet stretches (see [`quiet_span`](Self::quiet_span)).
     fn run(&mut self, n: u64) {
-        for _ in 0..n {
-            self.step();
+        let mut done = 0;
+        while done < n {
+            let k = self.quiet_span(n - done);
+            if k > 0 {
+                self.skip_quiet(k);
+                done += k;
+            } else {
+                self.step();
+                done += 1;
+            }
         }
     }
 
+    /// How many of the next `n` cycles would run no op at all: every
+    /// one up to the next armed chaos cycle when no active lane has an
+    /// awake block, else none. `Bitwise`/`Expr` ops are never gated, so
+    /// a program with any of them never fast-forwards. Nothing inside
+    /// a run can wake a block except a chaos cycle, because host calls
+    /// only happen between runs.
+    fn quiet_span(&self, n: u64) -> u64 {
+        if self.prog.packed_ops > 0 {
+            return 0;
+        }
+        let mut k = n;
+        for j in 0..self.lanes {
+            if !self.active[j] {
+                continue;
+            }
+            if self.act[j].count > 0 {
+                return 0;
+            }
+            if let Some(c) = self.chaos_panic[j].filter(|&c| c >= self.cycle) {
+                k = k.min(c - self.cycle);
+            }
+        }
+        k
+    }
+
+    /// Advance `k` all-quiet cycles at once. No op runs, so only the
+    /// bank parity, the cycle counter and the accounting move, and they
+    /// end exactly where `k` single steps would leave them.
+    fn skip_quiet(&mut self, k: u64) {
+        if k % 2 == 1 {
+            self.cur ^= 1;
+        }
+        for j in 0..self.lanes {
+            if self.active[j] {
+                self.stats[j].record_cycles(
+                    k,
+                    self.prog.scalar_deltas,
+                    self.prog.scalar.n_blocks as u64,
+                );
+            }
+        }
+        if let Some(p) = self.profiler.as_mut() {
+            p.skip_cycles(k);
+        }
+        self.cycle += k;
+    }
+
     /// Advance every active lane one system cycle: one walk over the
-    /// batched op list, then the bank swap.
+    /// batched op list, then the bank swap. A lane with a chaos panic
+    /// armed for this cycle wakes first, so the panic fires even inside
+    /// a quiet stretch.
     fn step(&mut self) {
+        for j in 0..self.lanes {
+            if self.active[j] && self.chaos_panic[j] == Some(self.cycle) {
+                self.act[j].wake_all();
+            }
+        }
         if let Some(p) = self.profiler.as_mut() {
             p.begin_cycle();
         }
@@ -1133,14 +1265,13 @@ impl BatchedCore {
 
     fn run_ops(&mut self) {
         let cycle = self.cycle;
-        let lanes = self.lanes;
         // Expression ops hold owned `SlabExpr` trees; iterate over a
         // cheap `Arc` clone of the program so `self` stays free for the
         // per-op bodies.
         let ops_prog = Arc::clone(&self.prog);
         for bop in ops_prog.ops.iter() {
             match bop {
-                BatchOp::PerLane(op) => self.run_per_lane_op(*op, cycle, lanes),
+                BatchOp::PerLane(op) => self.run_per_lane_op(*op, cycle),
                 BatchOp::Expr { block, writes } => {
                     let t0 = self.profiler.as_ref().and_then(|p| p.begin_eval());
                     let b = *block as usize;
@@ -1151,8 +1282,7 @@ impl BatchedCore {
                         }
                         for wr in writes {
                             let val = wr.expr.eval(&self.packed, self.lane_words, w);
-                            let slot = &mut self.packed[wr.slab as usize * self.lane_words + w];
-                            *slot = (*slot & !act) | (val & act);
+                            self.write_packed(wr.slab as usize, w, act, val);
                         }
                     }
                     if let Some(p) = self.profiler.as_mut() {
@@ -1169,41 +1299,30 @@ impl BatchedCore {
                     let t0 = self.profiler.as_ref().and_then(|p| p.begin_eval());
                     // One eval per packed word advances up to 64 lanes;
                     // inactive lanes are preserved via the active mask.
-                    let BatchedCore {
-                        specs,
-                        prog,
-                        packed,
-                        in_buf,
-                        out_buf,
-                        sides,
-                        active_words,
-                        lane_words,
-                        ..
-                    } = self;
                     let b = block as usize;
-                    let n_in = specs[0].blocks()[b].inputs.len();
-                    let n_out = specs[0].blocks()[b].outputs.len();
-                    let kindref = &specs[0].kinds()[kind as usize];
-                    for w in 0..*lane_words {
-                        let act = active_words[w];
+                    let n_in = self.specs[0].blocks()[b].inputs.len();
+                    let n_out = self.specs[0].blocks()[b].outputs.len();
+                    for w in 0..self.lane_words {
+                        let act = self.active_words[w];
                         if act == 0 {
                             continue;
                         }
-                        for m in &prog.pgathers[gather.as_range()] {
-                            in_buf[m.port as usize] = packed[m.slab as usize * *lane_words + w];
+                        for m in &ops_prog.pgathers[gather.as_range()] {
+                            self.in_buf[m.port as usize] =
+                                self.packed[m.slab as usize * self.lane_words + w];
                         }
-                        kindref.eval(
+                        self.specs[0].kinds()[kind as usize].eval(
                             instance as usize,
                             &[],
-                            &in_buf[..n_in],
+                            &self.in_buf[..n_in],
                             cycle,
                             &mut [],
-                            &mut out_buf[..n_out],
-                            &mut sides[0].view(b),
+                            &mut self.out_buf[..n_out],
+                            &mut self.sides[0].view(b),
                         );
-                        for m in &prog.pscatters[scatter.as_range()] {
-                            let slot = &mut packed[m.slab as usize * *lane_words + w];
-                            *slot = (*slot & !act) | (out_buf[m.port as usize] & act);
+                        for m in &ops_prog.pscatters[scatter.as_range()] {
+                            let val = self.out_buf[m.port as usize];
+                            self.write_packed(m.slab as usize, w, act, val);
                         }
                     }
                     if let Some(p) = self.profiler.as_mut() {
@@ -1214,204 +1333,159 @@ impl BatchedCore {
         }
     }
 
-    /// Run one per-lane op over every active lane. Each lane's body runs
-    /// under `catch_unwind`: a panicking lane (a buggy exec, or the
-    /// chaos knob) is quarantined via [`quarantine`](Self::quarantine)
-    /// and the remaining lanes continue untouched. Bitwise ops are not
-    /// isolated this way — one eval advances up to 64 lanes at once, so
-    /// a panic there cannot be attributed to a single lane.
-    fn run_per_lane_op(&mut self, op: Op, cycle: u64, lanes: usize) {
+    /// Run `body` for every active lane in which block `b` is awake;
+    /// returns whether any lane ran. A lane where `b` sleeps is skipped
+    /// before anything else happens. Each lane's body runs under
+    /// `catch_unwind`: a panicking lane (a buggy exec, or the chaos
+    /// knob) is quarantined via [`quarantine`](Self::quarantine) and the
+    /// remaining lanes continue untouched. Bitwise ops are not isolated
+    /// this way — one eval advances up to 64 lanes at once, so a panic
+    /// there cannot be attributed to a single lane.
+    #[inline]
+    fn each_awake_lane(
+        &mut self,
+        b: usize,
+        cycle: u64,
+        mut body: impl FnMut(&mut BatchedCore, usize),
+    ) -> bool {
         use std::panic::{catch_unwind, AssertUnwindSafe};
-        match op {
+        let mut ran = false;
+        for j in 0..self.lanes {
+            if !self.active[j] || !self.act[j].on[b] {
+                continue;
+            }
+            ran = true;
+            let chaos = self.chaos_panic[j];
+            let res = catch_unwind(AssertUnwindSafe(|| {
+                if chaos == Some(cycle) {
+                    panic!("chaos: injected panic in lane {j} at cycle {cycle}");
+                }
+                body(self, j);
+            }));
+            if let Err(p) = res {
+                self.quarantine(j, cycle, panic_payload(p.as_ref()));
+            }
+        }
+        ran
+    }
+
+    /// Run one per-lane op over every lane where its block is awake.
+    /// The group-0 profiler counts an op as evaluated when at least one
+    /// lane ran it, and an update no lane ran as skipped.
+    fn run_per_lane_op(&mut self, op: Op, cycle: u64) {
+        let b = op.block();
+        let t0 = self.profiler.as_ref().and_then(|p| p.begin_eval());
+        let lanes = self.lanes;
+        let ran = match op {
             Op::Comb {
                 kind,
                 pass,
-                block,
-                instance,
-                gather,
-                scatter,
-            } => {
-                let t0 = self.profiler.as_ref().and_then(|p| p.begin_eval());
-                for j in 0..lanes {
-                    if !self.active[j] {
-                        continue;
-                    }
-                    let chaos = self.chaos_panic[j];
-                    let res = catch_unwind(AssertUnwindSafe(|| {
-                        if chaos == Some(cycle) {
-                            panic!("chaos: injected panic in lane {j} at cycle {cycle}");
-                        }
-                        self.gather_lane(gather.as_range(), j, lanes);
-                        let Some(exec) = self.execs[j][kind as usize].as_mut() else {
-                            unreachable!("comb op for kind {kind} without exec");
-                        };
-                        exec.comb(
-                            instance as usize,
-                            pass as usize,
-                            &self.in_buf,
-                            cycle,
-                            &mut self.out_buf,
-                            &mut self.sides[j].view(block as usize),
-                        );
-                        self.scatter_lane(scatter.as_range(), j, lanes);
-                    }));
-                    if let Err(p) = res {
-                        self.quarantine(j, cycle, panic_payload(p.as_ref()));
-                    }
-                }
-                if let Some(p) = self.profiler.as_mut() {
-                    p.end_op(block as usize, t0);
-                }
-            }
-            Op::CombPacked {
-                kind,
-                block,
                 instance,
                 gather,
                 scatter,
                 ..
-            } => {
-                let t0 = self.profiler.as_ref().and_then(|p| p.begin_eval());
-                let b = block as usize;
-                for j in 0..lanes {
-                    if !self.active[j] {
-                        continue;
-                    }
-                    let chaos = self.chaos_panic[j];
-                    let res = catch_unwind(AssertUnwindSafe(|| {
-                        if chaos == Some(cycle) {
-                            panic!("chaos: injected panic in lane {j} at cycle {cycle}");
-                        }
-                        self.gather_lane(gather.as_range(), j, lanes);
-                        let n_in = self.specs[j].blocks()[b].inputs.len();
-                        let n_out = self.specs[j].blocks()[b].outputs.len();
-                        let (off, len) = (self.state_off[b], self.state_len[b]);
-                        let start = self.cur * self.bank_lane_words + off * lanes + j * len;
-                        // Split borrows: `state` read-only, `scratch` is the
-                        // discarded next-state buffer — separate fields.
-                        let BatchedCore {
-                            specs,
-                            state,
-                            in_buf,
-                            out_buf,
-                            scratch,
-                            sides,
-                            ..
-                        } = self;
-                        specs[j].kinds()[kind as usize].eval(
-                            instance as usize,
-                            &state[start..start + len],
-                            &in_buf[..n_in],
-                            cycle,
-                            &mut scratch[..len],
-                            &mut out_buf[..n_out],
-                            &mut sides[j].view(b),
-                        );
-                        self.scatter_lane(scatter.as_range(), j, lanes);
-                    }));
-                    if let Err(p) = res {
-                        self.quarantine(j, cycle, panic_payload(p.as_ref()));
-                    }
-                }
-                if let Some(p) = self.profiler.as_mut() {
-                    p.end_op(b, t0);
-                }
-            }
+            } => self.each_awake_lane(b, cycle, |core, j| {
+                core.gather_lane(gather.as_range(), j, lanes);
+                let Some(exec) = core.execs[j][kind as usize].as_mut() else {
+                    unreachable!("comb op for kind {kind} without exec");
+                };
+                exec.comb(
+                    instance as usize,
+                    pass as usize,
+                    &core.in_buf,
+                    cycle,
+                    &mut core.out_buf,
+                    &mut core.sides[j].view(b),
+                );
+                core.scatter_lane(scatter.as_range(), j);
+            }),
+            Op::CombPacked {
+                kind,
+                instance,
+                gather,
+                scatter,
+                ..
+            } => self.each_awake_lane(b, cycle, |core, j| {
+                core.gather_lane(gather.as_range(), j, lanes);
+                let n_in = core.specs[j].blocks()[b].inputs.len();
+                let n_out = core.specs[j].blocks()[b].outputs.len();
+                let (off, len) = (core.state_off[b], core.state_len[b]);
+                let start = core.cur * core.bank_lane_words + off * lanes + j * len;
+                // `state` is read only; `scratch` is the discarded
+                // next-state buffer.
+                core.specs[j].kinds()[kind as usize].eval(
+                    instance as usize,
+                    &core.state[start..start + len],
+                    &core.in_buf[..n_in],
+                    cycle,
+                    &mut core.scratch[..len],
+                    &mut core.out_buf[..n_out],
+                    &mut core.sides[j].view(b),
+                );
+                core.scatter_lane(scatter.as_range(), j);
+            }),
             Op::Update {
                 kind,
-                block,
                 instance,
                 gather,
-            } => {
-                let t0 = self.profiler.as_ref().and_then(|p| p.begin_eval());
-                for j in 0..lanes {
-                    if !self.active[j] {
-                        continue;
-                    }
-                    let chaos = self.chaos_panic[j];
-                    let res = catch_unwind(AssertUnwindSafe(|| {
-                        if chaos == Some(cycle) {
-                            panic!("chaos: injected panic in lane {j} at cycle {cycle}");
-                        }
-                        self.gather_lane(gather.as_range(), j, lanes);
-                        let Some(exec) = self.execs[j][kind as usize].as_mut() else {
-                            unreachable!("update op for kind {kind} without exec");
-                        };
-                        exec.update(
-                            instance as usize,
-                            &self.in_buf,
-                            cycle,
-                            &mut self.sides[j].view(block as usize),
-                        );
-                        self.dirty[j][block as usize] = true;
-                    }));
-                    if let Err(p) = res {
-                        self.quarantine(j, cycle, panic_payload(p.as_ref()));
-                    }
+                ..
+            } => self.each_awake_lane(b, cycle, |core, j| {
+                core.gather_lane(gather.as_range(), j, lanes);
+                let Some(exec) = core.execs[j][kind as usize].as_mut() else {
+                    unreachable!("update op for kind {kind} without exec");
+                };
+                exec.update(
+                    instance as usize,
+                    &core.in_buf,
+                    cycle,
+                    &mut core.sides[j].view(b),
+                );
+                if exec.quiet(instance as usize) {
+                    core.act[j].sleep(b);
+                } else {
+                    core.versions[j][b] += 1;
                 }
-                if let Some(p) = self.profiler.as_mut() {
-                    p.end_eval(block as usize, false, t0);
-                }
-            }
+                core.dirty[j][b] = true;
+            }),
             Op::UpdatePacked {
                 kind,
-                block,
                 instance,
                 gather,
-            } => {
-                let t0 = self.profiler.as_ref().and_then(|p| p.begin_eval());
-                let b = block as usize;
-                for j in 0..lanes {
-                    if !self.active[j] {
-                        continue;
-                    }
-                    let chaos = self.chaos_panic[j];
-                    let res = catch_unwind(AssertUnwindSafe(|| {
-                        if chaos == Some(cycle) {
-                            panic!("chaos: injected panic in lane {j} at cycle {cycle}");
-                        }
-                        self.gather_lane(gather.as_range(), j, lanes);
-                        let n_in = self.specs[j].blocks()[b].inputs.len();
-                        let n_out = self.specs[j].blocks()[b].outputs.len();
-                        // Split borrows: state is a separate field from the
-                        // buffers and sides; specs are read-only.
-                        let BatchedCore {
-                            specs,
-                            state,
-                            in_buf,
-                            out_buf,
-                            sides,
-                            ..
-                        } = self;
-                        let (cur, next) = cur_next_split(
-                            state,
-                            self.cur,
-                            self.bank_lane_words,
-                            self.state_off[b],
-                            self.state_len[b],
-                            lanes,
-                            j,
-                        );
-                        specs[j].kinds()[kind as usize].eval(
-                            instance as usize,
-                            cur,
-                            &in_buf[..n_in],
-                            cycle,
-                            next,
-                            &mut out_buf[..n_out],
-                            &mut sides[j].view(b),
-                        );
-                    }));
-                    if let Err(p) = res {
-                        self.quarantine(j, cycle, panic_payload(p.as_ref()));
-                    }
-                }
-                if let Some(p) = self.profiler.as_mut() {
-                    p.end_eval(b, false, t0);
-                }
-            }
+                ..
+            } => self.each_awake_lane(b, cycle, |core, j| {
+                core.gather_lane(gather.as_range(), j, lanes);
+                let n_in = core.specs[j].blocks()[b].inputs.len();
+                let n_out = core.specs[j].blocks()[b].outputs.len();
+                let (cur, next) = cur_next_split(
+                    &mut core.state,
+                    core.cur,
+                    core.bank_lane_words,
+                    core.state_off[b],
+                    core.state_len[b],
+                    lanes,
+                    j,
+                );
+                core.specs[j].kinds()[kind as usize].eval(
+                    instance as usize,
+                    cur,
+                    &core.in_buf[..n_in],
+                    cycle,
+                    next,
+                    &mut core.out_buf[..n_out],
+                    &mut core.sides[j].view(b),
+                );
+                core.versions[j][b] += 1;
+            }),
             Op::EvalFull { .. } => {
                 unreachable!("eval_full op in straight-line batched program");
+            }
+        };
+        if let Some(p) = self.profiler.as_mut() {
+            match (ran, op) {
+                (true, Op::Comb { .. } | Op::CombPacked { .. }) => p.end_op(b, t0),
+                (true, _) => p.end_eval(b, false, t0),
+                (false, Op::Update { .. } | Op::UpdatePacked { .. }) => p.skip(b),
+                (false, _) => {}
             }
         }
     }
@@ -1579,7 +1653,8 @@ impl BatchedEngine {
 
     /// Chaos knob (testing): deliberately panic `lane`'s next per-lane
     /// evaluation at system cycle `cycle`, exercising the quarantine
-    /// path end to end.
+    /// path end to end. The lane wakes at that cycle, so the panic
+    /// fires even when the lane is quiet.
     pub fn poison_lane_at(&mut self, lane: usize, cycle: u64) {
         let (g, j) = self.lane_of[lane];
         self.groups[g].chaos_panic[j] = Some(cycle);
@@ -1591,7 +1666,8 @@ impl BatchedEngine {
         self.groups[g].link_value(j, l)
     }
 
-    /// Drive an [`External`](LinkDriver::External) link in one lane.
+    /// Drive an [`External`](LinkDriver::External) link in one lane. A
+    /// changed value wakes the blocks that read it in that lane.
     ///
     /// # Panics
     /// If the link is not external.
@@ -1606,16 +1682,43 @@ impl BatchedEngine {
         self.groups[g].peek_state(j, b)
     }
 
+    /// State version of block `b` in `lane`: unchanged between two reads
+    /// means [`peek_state`](Self::peek_state) returns the same words
+    /// (bumped by every update that is not quiet, every packed update,
+    /// restore and quarantine). Hosts use it to cache decoded peeks.
+    pub fn state_version(&self, lane: usize, b: usize) -> u64 {
+        let (g, j) = self.lane_of[lane];
+        self.groups[g].versions[j][b]
+    }
+
+    /// Number of blocks of `lane` that will run their per-lane ops next
+    /// cycle.
+    pub fn active_blocks(&self, lane: usize) -> usize {
+        let (g, j) = self.lane_of[lane];
+        self.groups[g].act[j].count
+    }
+
     /// Side-ring memory of `lane`.
     pub fn side(&self, lane: usize) -> &SideMem {
         let (g, j) = self.lane_of[lane];
         &self.groups[g].sides[j]
     }
 
-    /// Mutable side-ring memory of `lane`.
+    /// Mutable side-ring memory of `lane`. The target block is unknown,
+    /// so every block of the lane wakes;
+    /// [`side_write`](Self::side_write) wakes only one.
     pub fn side_mut(&mut self, lane: usize) -> &mut SideMem {
         let (g, j) = self.lane_of[lane];
+        self.groups[g].act[j].wake_all();
         &mut self.groups[g].sides[j]
+    }
+
+    /// Host write of one side-ring slot of block `b` in `lane` (wakes
+    /// `b` in that lane).
+    pub fn side_write(&mut self, lane: usize, b: usize, ring: usize, slot: usize, v: u64) {
+        let (g, j) = self.lane_of[lane];
+        self.groups[g].act[j].wake(b);
+        self.groups[g].sides[j].write(b, ring, slot, v);
     }
 
     /// Delta statistics of `lane` (bit-identical to a scalar compiled
@@ -1635,8 +1738,9 @@ impl BatchedEngine {
     }
 
     /// Attach a profiler to group 0. Op self-time aggregates that
-    /// group's lanes (lane-aggregated attribution); eval counts per
-    /// cycle match the scalar engine's.
+    /// group's lanes (lane-aggregated attribution). An update counts as
+    /// evaluated when at least one of the group's lanes ran it and as
+    /// skipped otherwise, so evals + skipped = cycles per block.
     pub fn attach_profiler(&mut self, p: KernelProfiler) {
         self.groups[0].profiler = Some(Box::new(p));
     }
@@ -1668,10 +1772,14 @@ impl BatchedEngine {
     /// Advance every active lane by `n` system cycles. With more than
     /// one group, each group runs on its own scoped thread for the whole
     /// `n`-cycle span (lanes are independent, so there is no per-cycle
-    /// barrier to pay).
+    /// barrier to pay) and fast-forwards its own quiet stretches. When
+    /// every group would fast-forward all `n` cycles, no thread is
+    /// spawned.
     pub fn run(&mut self, n: u64) {
-        if self.groups.len() == 1 {
-            self.groups[0].run(n);
+        if self.groups.len() == 1 || self.groups.iter().all(|g| g.quiet_span(n) == n) {
+            for g in &mut self.groups {
+                g.run(n);
+            }
             return;
         }
         std::thread::scope(|scope| {

@@ -1243,16 +1243,17 @@ impl CompiledSnapshot {
 }
 
 /// Per-block activity flags of the gated straight-line interpreter
-/// (DESIGN §11.5): a block runs its ops only while its flag is set.
+/// (DESIGN §11.5): a block runs its ops only while its flag is set. The
+/// batched engine keeps one per lane (DESIGN §12.6).
 #[derive(Debug, Clone)]
-struct Activity {
-    on: Vec<bool>,
+pub(crate) struct Activity {
+    pub(crate) on: Vec<bool>,
     /// Number of set flags (an all-quiet cycle is `count == 0`).
-    count: usize,
+    pub(crate) count: usize,
 }
 
 impl Activity {
-    fn all(n: usize) -> Activity {
+    pub(crate) fn all(n: usize) -> Activity {
         Activity {
             on: vec![true; n],
             count: n,
@@ -1260,7 +1261,7 @@ impl Activity {
     }
 
     #[inline]
-    fn wake(&mut self, b: usize) {
+    pub(crate) fn wake(&mut self, b: usize) {
         if !self.on[b] {
             self.on[b] = true;
             self.count += 1;
@@ -1268,21 +1269,21 @@ impl Activity {
     }
 
     #[inline]
-    fn sleep(&mut self, b: usize) {
+    pub(crate) fn sleep(&mut self, b: usize) {
         if self.on[b] {
             self.on[b] = false;
             self.count -= 1;
         }
     }
 
-    fn wake_all(&mut self) {
+    pub(crate) fn wake_all(&mut self) {
         self.on.fill(true);
         self.count = self.on.len();
     }
 
     /// Wake every block that gathers arena word `w`.
     #[inline]
-    fn wake_readers(&mut self, prog: &CompiledProgram, w: usize) {
+    pub(crate) fn wake_readers(&mut self, prog: &CompiledProgram, w: usize) {
         for &b in prog.readers(w) {
             self.wake(b as usize);
         }

@@ -11,7 +11,10 @@
 //! and then fans per-lane host traffic in and per-lane delivered
 //! streams, metrics and snapshots out. Every lane is bit-identical to a
 //! scalar [`CompiledNoc`] run of the same configuration — the batched
-//! differential suite enforces it.
+//! differential suites enforce it. Like the compiled kernel, each lane
+//! skips its quiet routers, and an all-quiet batch fast-forwards
+//! (DESIGN §12.6); `peek_regs` reuses decodes while a router's state
+//! version has not moved.
 //!
 //! `BatchedNoc` is *not* a [`NocEngine`](crate::NocEngine): the trait
 //! models one simulation per engine, while every host access here
@@ -19,7 +22,7 @@
 //!
 //! [`SimBuilder::session`]: crate::SimBuilder::session
 
-use crate::engine::{ring_pending, HostPtrs};
+use crate::engine::{ring_pending, HostPtrs, PeekCache};
 use crate::seq::{attributed_profiler, build_noc_spec};
 use noc_types::fault::FaultPlan;
 use noc_types::{NetworkConfig, NUM_VCS};
@@ -52,6 +55,9 @@ pub struct BatchedNoc {
     /// `host[lane]` — per-lane ring pointers.
     host: Vec<HostPtrs>,
     lane_faults: Vec<Option<Arc<FaultPlan>>>,
+    /// Per (lane, node), at `lane * nodes + node`: the registers last
+    /// decoded by [`peek_regs`](Self::peek_regs).
+    peeked: PeekCache,
 }
 
 impl BatchedNoc {
@@ -183,6 +189,7 @@ impl BatchedNoc {
             depths,
             host: vec![HostPtrs::new(n); lanes],
             lane_faults,
+            peeked: PeekCache::new(lanes * n),
         })
     }
 
@@ -321,9 +328,15 @@ impl BatchedNoc {
         self.engine.poison_lane_at(lane, cycle);
     }
 
-    /// Device-side register file of one router in one lane.
+    /// Device-side register file of one router in one lane. Reuses the
+    /// last decode while the block's state version has not moved, so
+    /// peeking a quiet router costs no pack/unpack.
     pub fn peek_regs(&self, lane: usize, node: usize) -> RouterRegs {
-        RouterRegs::unpack(self.depths[node], &self.engine.peek_state(lane, node))
+        let slot = lane * self.depths.len() + node;
+        self.peeked
+            .get(slot, self.engine.state_version(lane, node), || {
+                RouterRegs::unpack(self.depths[node], &self.engine.peek_state(lane, node))
+            })
     }
 
     /// Stimuli ring capacity (shared by every lane).
@@ -346,8 +359,7 @@ impl BatchedNoc {
         }
         let wr = &mut self.host[lane].stim_wr[node][vc];
         self.engine
-            .side_mut(lane)
-            .write(node, RING_STIM0 + vc, *wr as usize, entry.to_bits());
+            .side_write(lane, node, RING_STIM0 + vc, *wr as usize, entry.to_bits());
         *wr = wr.wrapping_add(1);
         self.engine
             .set_external(lane, self.wr_links[node][vc], *wr as u64);

@@ -16,12 +16,11 @@
 //! in the interpreting engine, so the two backends are bit-identical
 //! and differ only in speed.
 
-use crate::engine::{ring_pending, HostPtrs, NocEngine};
+use crate::engine::{ring_pending, HostPtrs, NocEngine, PeekCache};
 use crate::seq::{attributed_profiler, build_noc_spec};
 use noc_types::fault::FaultPlan;
 use noc_types::{NetworkConfig, NUM_VCS};
 use seqsim::{CompileOptions, CompiledEngine, DeltaStats, SimError};
-use std::cell::Cell;
 use std::sync::Arc;
 use vc_router::block::{RING_ACC, RING_OUT, RING_STIM0};
 use vc_router::{AccEntry, IfaceConfig, OutEntry, RouterRegs, StimEntry};
@@ -44,9 +43,8 @@ pub struct CompiledNoc {
     host: HostPtrs,
     faults: Option<Arc<FaultPlan>>,
     /// Per node: the registers last decoded by
-    /// [`peek_regs`](Self::peek_regs) and the engine state version they
-    /// were decoded at.
-    peeked: Vec<Cell<Option<(u64, RouterRegs)>>>,
+    /// [`peek_regs`](Self::peek_regs).
+    peeked: PeekCache,
 }
 
 impl CompiledNoc {
@@ -132,7 +130,7 @@ impl CompiledNoc {
             depths: depths.to_vec(),
             host: HostPtrs::new(n),
             faults,
-            peeked: vec![Cell::new(None); n],
+            peeked: PeekCache::new(n),
         }
     }
 
@@ -162,15 +160,9 @@ impl CompiledNoc {
     /// Reuses the last decode while the node's state version has not
     /// moved, so peeking a quiet router costs no pack/unpack.
     pub fn peek_regs(&self, node: usize) -> RouterRegs {
-        let version = self.engine.state_version(node);
-        if let Some((v, regs)) = self.peeked[node].get() {
-            if v == version {
-                return regs;
-            }
-        }
-        let regs = RouterRegs::unpack(self.depths[node], &self.engine.peek_state(node));
-        self.peeked[node].set(Some((version, regs)));
-        regs
+        self.peeked.get(node, self.engine.state_version(node), || {
+            RouterRegs::unpack(self.depths[node], &self.engine.peek_state(node))
+        })
     }
 }
 

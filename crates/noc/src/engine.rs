@@ -9,8 +9,9 @@
 use noc_types::fault::FaultPlan;
 use noc_types::NetworkConfig;
 use seqsim::{DeltaStats, SimError};
+use std::cell::Cell;
 use std::sync::Arc;
-use vc_router::{AccEntry, OutEntry, StimEntry};
+use vc_router::{AccEntry, OutEntry, RouterRegs, StimEntry};
 
 /// A delivered flit with its destination node attached.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -250,6 +251,42 @@ pub fn ring_pending(host_rd: u16, dev_wr: u16, cap: usize, what: &str) -> usize 
         "{what} ring overrun: {pending} pending > capacity {cap} — drain more often"
     );
     pending
+}
+
+/// Decoded router registers, one slot per peeked router, keyed by the
+/// engine's state version: while a slot's version has not moved, a peek
+/// returns the last decode, so peeking a quiet router costs no
+/// pack/unpack. [`CompiledNoc`](crate::CompiledNoc) keeps one slot per
+/// node, [`BatchedNoc`](crate::BatchedNoc) one per (lane, node).
+#[derive(Debug)]
+pub(crate) struct PeekCache {
+    slots: Vec<Cell<Option<(u64, RouterRegs)>>>,
+}
+
+impl PeekCache {
+    pub(crate) fn new(slots: usize) -> Self {
+        PeekCache {
+            slots: vec![Cell::new(None); slots],
+        }
+    }
+
+    /// The registers of `slot` at state `version`; `decode` runs only
+    /// when the slot holds no decode of that version.
+    pub(crate) fn get(
+        &self,
+        slot: usize,
+        version: u64,
+        decode: impl FnOnce() -> RouterRegs,
+    ) -> RouterRegs {
+        if let Some((v, regs)) = self.slots[slot].get() {
+            if v == version {
+                return regs;
+            }
+        }
+        let regs = decode();
+        self.slots[slot].set(Some((version, regs)));
+        regs
+    }
 }
 
 #[cfg(test)]

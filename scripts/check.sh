@@ -17,6 +17,9 @@ cargo build --release
 echo "==> cargo test --workspace -q (every crate's unit, integration and doc tests)"
 cargo test --workspace -q
 
+echo "==> e2ebench self-test (every engine's RunReport equals native's on every workload)"
+cargo test --manifest-path e2ebench/Cargo.toml -q
+
 echo "==> speclint (zero error-severity diagnostics on built-in topologies)"
 ./target/release/speclint --all-topologies --format json --out target/speclint_report.json \
     --emit-program target/compiled_program.txt \
